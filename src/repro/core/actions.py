@@ -19,6 +19,7 @@ import operator
 from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
+from ..data.hashindex import fnv1a64
 from ..sim.stats import STATS_COUNTERS
 from .isa import Action, ActionCategory, Opcode, Operand
 from .messages import Message
@@ -247,7 +248,6 @@ class ActionExecutor:
                 for name, operand in action.attr("fields", ())
             }
             for name, operand in action.attr("hash_fields", ()):
-                from ..data.hashindex import fnv1a64
                 fields[name] = fnv1a64(self._resolve(walker, msg, operand))
                 if self._track:
                     self.c.stats.inc("hash_ops")

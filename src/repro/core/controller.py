@@ -614,8 +614,7 @@ class Controller(Component):
         self._front_end_hits()
         self._front_end_dispatch()
         self._back_end_execute()
-        return bool(self._execq or self._internal or self.metaio_in.valid
-                    or self._walkers)
+        return bool(self._execq or self._internal or self.metaio_in.valid)
 
     @property
     def SCHED_WINDOW(self) -> int:

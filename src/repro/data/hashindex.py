@@ -14,11 +14,14 @@ Node layout in the image (64 bytes, one per index entry)::
 Nodes are block-sized and block-aligned: in a 100 GB database, index
 entries carry payload and do not share DRAM blocks, so a node fill is
 exactly one block ("the data fill ... is a single node").
+
+Host-side, each key's walk is computed once:
+:meth:`HashIndex.probe_with_walk` memoises (rid, walk, root entry) per
+key until the next insert.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..mem.layout import MemoryImage
@@ -44,12 +47,8 @@ def fnv1a64(key: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class _Node:
-    addr: int
-    key: int
-    rid: int
-    next_addr: int
+#: (rid or None, node addresses walked, bucket-root entry address)
+Walk = Tuple[Optional[int], Tuple[int, ...], int]
 
 
 class HashIndex:
@@ -68,6 +67,9 @@ class HashIndex:
         self.table_addr = image.alloc(8 * num_buckets, align=64)
         self.num_entries = 0
         self._chain_lengths: Dict[int, int] = {}
+        # per-key walk memo: a walk reads only nodes and root slots,
+        # which only insert() writes
+        self._walks: Dict[int, Walk] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -91,6 +93,7 @@ class HashIndex:
         self.image.write_u64(root_entry, node)
         self.num_entries += 1
         self._chain_lengths[bucket] = self._chain_lengths.get(bucket, 0) + 1
+        self._walks.clear()
         return node
 
     @classmethod
@@ -106,25 +109,33 @@ class HashIndex:
     # ------------------------------------------------------------------
     def probe(self, key: int) -> Optional[int]:
         """Walk the chain for ``key``; returns the RID or None."""
-        node, _ = self.probe_with_walk(key)
-        return node
+        return self.probe_with_walk(key)[0]
 
-    def probe_with_walk(self, key: int) -> Tuple[Optional[int], List[int]]:
-        """Like :meth:`probe` but also returns the node addresses touched.
+    def probe_with_walk(self, key: int) -> Walk:
+        """Like :meth:`probe` but also returns the node addresses touched
+        and the bucket-root entry: ``(rid, walk, root_entry)``.
 
-        The walk list is what an address-based cache must fetch: the
+        The walk is what an address-based cache must fetch: the
         bucket-root entry is excluded (it is a table access), each node
-        visited appears once.
+        visited appears once. Computed once per key until the next
+        :meth:`insert`.
         """
-        bucket = self.bucket_of(key)
-        current = self.image.read_u64(self.bucket_root_entry(bucket))
+        memo = self._walks.get(key)
+        if memo is not None:
+            return memo
+        root = self.bucket_root_entry(self.bucket_of(key))
+        read = self.image.read_u64
+        current = read(root)
         walked: List[int] = []
+        rid = None
         while current != MemoryImage.NULL:
             walked.append(current)
-            if self.image.read_u64(current + self.KEY_OFF) == key:
-                return self.image.read_u64(current + self.RID_OFF), walked
-            current = self.image.read_u64(current + self.NEXT_OFF)
-        return None, walked
+            if read(current + self.KEY_OFF) == key:
+                rid = read(current + self.RID_OFF)
+                break
+            current = read(current + self.NEXT_OFF)
+        memo = self._walks[key] = (rid, tuple(walked), root)
+        return memo
 
     def chain_length(self, key: int) -> int:
         """Nodes in the key's bucket (walk length upper bound)."""

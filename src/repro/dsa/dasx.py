@@ -22,13 +22,12 @@ Variants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.config import XCacheConfig, table3_config
 from ..core.controller import MetaResponse
 from ..core.energy import EnergyModel
 from ..core.xcache import XCacheSystem
-from ..data.hashindex import HashIndex
 from ..mem.addrcache import AddressCache, CacheConfig
 from ..mem.dram import DRAMConfig, DRAMModel
 from ..mem.layout import MemoryImage
@@ -56,8 +55,7 @@ class DasxXCacheModel:
                                     name="dasx-walker")
         self.system = XCacheSystem(self.config, program,
                                    dram_config=dram_config)
-        self.index = HashIndex.build(self.system.image, workload.pairs,
-                                     workload.num_buckets)
+        self.index = workload.build_index(self.system.image)
         self._rounds: List[Sequence[int]] = [
             workload.probes[i:i + round_size]
             for i in range(0, len(workload.probes), round_size)
@@ -121,9 +119,10 @@ class DasxXCacheModel:
         self._phase = "compute"
         keys = self._rounds[self._round]
         self._outstanding = len(keys)
+        oracle = self.workload.oracle
         for key in keys:
             msg = self.system.load((key,), walk_fields=self._walk_fields)
-            self._expected[msg.uid] = self.index.probe(key)
+            self._expected[msg.uid] = oracle.get(key)
 
     def _on_response(self, resp: MetaResponse) -> None:
         self._last_done = max(self._last_done, resp.completed_at)
@@ -161,8 +160,7 @@ class DasxBaselineModel:
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         cfg = cache_config or matched_cache_config(table3_config("dasx"))
         self.cache = AddressCache(self.sim, self.dram, cfg)
-        self.index = HashIndex.build(self.image, workload.pairs,
-                                     workload.num_buckets)
+        self.index = workload.build_index(self.image)
         self.engines = [
             _HashProbeEngine(self.sim, self.cache, self.index,
                              workload.hash_cycles, f"collector{i}")
@@ -203,13 +201,14 @@ class DasxBaselineModel:
             return
         keys = list(self._rounds[round_idx])
         pending = {"n": len(keys), "next": 0}
+        oracle = self.workload.oracle
 
         def collect(engine: _HashProbeEngine) -> None:
             if pending["next"] >= len(keys):
                 return
             key = keys[pending["next"]]
             pending["next"] += 1
-            expected = self.index.probe(key)
+            expected = oracle.get(key)
 
             def on_done(rid) -> None:
                 if rid != expected:

@@ -23,8 +23,10 @@ Variants modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import copy
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Callable, Dict, Optional, Tuple
 
 from ..core.config import XCacheConfig, table3_config
 from ..core.controller import Controller, MetaResponse
@@ -58,6 +60,10 @@ class WidxWorkload:
     ``probes`` — the key trace the DSA looks up.
     ``num_buckets`` — index bucket count (power of two).
     ``hash_cycles`` — hash-unit latency (string vs numeric keys).
+
+    A workload also carries what is derived from it once and shared by
+    every variant that runs it: the reference :attr:`oracle` and the
+    index layout :meth:`build_index` copies. Neither is pickled.
     """
 
     pairs: Tuple[Tuple[int, int], ...]
@@ -65,6 +71,44 @@ class WidxWorkload:
     num_buckets: int
     hash_cycles: int = HASH_CYCLES_STRING
     name: str = "widx"
+
+    def __getstate__(self) -> dict:
+        names = {f.name for f in fields(self)}
+        return {k: v for k, v in self.__dict__.items() if k in names}
+
+    @cached_property
+    def oracle(self) -> Dict[int, int]:
+        """The functional reference: the RID a probe of each key must
+        return (absent keys: None). The last insert of a key wins, as
+        head insertion puts it first in its chain."""
+        return dict(self.pairs)
+
+    def build_index(self, image: MemoryImage) -> HashIndex:
+        """Lay this workload's index into ``image``.
+
+        The first call builds it; later calls copy that build's bytes
+        and allocation records when ``image``'s break is where the
+        first build started (a build's layout depends only on its
+        pairs, bucket count and starting break), and build afresh
+        otherwise.
+        """
+        first = self.__dict__.get("_first_index")
+        if first is not None:
+            built, start, data, allocations = first
+            if image.map_segment(start, data, allocations):
+                index = copy.copy(built)
+                index.image = image
+                index._walks = {}
+                index._chain_lengths = dict(built._chain_lengths)
+                return index
+        start = image.used
+        index = HashIndex.build(image, self.pairs, self.num_buckets)
+        if first is None:
+            # frozen dataclass: derived state goes straight into the
+            # instance dict, as cached_property does
+            self.__dict__["_first_index"] = (
+                index, start, *image.segment(start))
+        return index
 
 
 def matched_cache_config(config: XCacheConfig) -> CacheConfig:
@@ -81,10 +125,6 @@ def matched_cache_config(config: XCacheConfig) -> CacheConfig:
                        hit_latency=config.hit_latency)
 
 
-def _build_index(image: MemoryImage, workload: WidxWorkload) -> HashIndex:
-    return HashIndex.build(image, workload.pairs, workload.num_buckets)
-
-
 class WidxXCacheModel:
     """Widx datapath over a programmed X-Cache."""
 
@@ -98,7 +138,7 @@ class WidxXCacheModel:
                                     workload.hash_cycles)
         self.system = XCacheSystem(self.config, program,
                                    dram_config=dram_config)
-        self.index = _build_index(self.system.image, workload)
+        self.index = workload.build_index(self.system.image)
         self.window = window
         self._expected: Dict[int, Optional[int]] = {}
         self._failures = 0
@@ -163,7 +203,7 @@ class WidxXCacheModel:
     def _issue(self, index: int) -> None:
         key = self.workload.probes[index]
         msg = self.system.load((key,), walk_fields={"table": self._table})
-        self._expected[msg.uid] = self.index.probe(key)
+        self._expected[msg.uid] = self.workload.oracle.get(key)
 
 
 class _HashProbeEngine(Component):
@@ -184,9 +224,7 @@ class _HashProbeEngine(Component):
     def probe(self, key: int, callback: Callable[[Optional[int]], None]) -> None:
         self.stats.inc("hashes")
         self.stats.inc("agen_ops", 2)
-        rid, walk = self.index.probe_with_walk(key)
-        bucket = self.index.bucket_of(key)
-        root = self.index.bucket_root_entry(bucket)
+        rid, walk, root = self.index.probe_with_walk(key)
 
         def after_hash() -> None:
             self.cache.access(root, False, lambda _lat: self._walk(walk, 0,
@@ -195,7 +233,7 @@ class _HashProbeEngine(Component):
 
         self.sim.call_after(max(1, self.hash_cycles), after_hash)
 
-    def _walk(self, walk: List[int], i: int, rid: Optional[int],
+    def _walk(self, walk: Tuple[int, ...], i: int, rid: Optional[int],
               callback: Callable[[Optional[int]], None]) -> None:
         if i >= len(walk):
             callback(rid)
@@ -219,7 +257,7 @@ class _AddressVariantBase:
         self.dram = DRAMModel(self.sim, self.image, dram_config)
         cfg = cache_config or matched_cache_config(table3_config("widx"))
         self.cache = AddressCache(self.sim, self.dram, cfg)
-        self.index = _build_index(self.image, workload)
+        self.index = workload.build_index(self.image)
         self.engines = [
             _HashProbeEngine(self.sim, self.cache, self.index,
                              workload.hash_cycles, f"engine{i}")
@@ -236,7 +274,7 @@ class _AddressVariantBase:
             return
         key = self.workload.probes[self._next_probe]
         self._next_probe += 1
-        expected = self.index.probe(key)
+        expected = self.workload.oracle.get(key)
         started = self.sim.now
 
         def on_done(rid: Optional[int]) -> None:

@@ -76,7 +76,7 @@ def measure_occupancy(off_chip: float, num_keys: int = 1024,
     batch: List[WalkStep] = []
     for key in probes:
         batch.append(WalkStep("compute", cycles=hash_cycles))
-        _rid, walk = index.probe_with_walk(key)
+        _rid, walk, _root = index.probe_with_walk(key)
         for node in walk:
             if key in cold:
                 batch.append(WalkStep("dram", addr=node % (1 << 20)))

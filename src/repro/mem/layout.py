@@ -65,6 +65,30 @@ class MemoryImage:
         """Bytes consumed so far (high-water mark)."""
         return self._brk
 
+    def segment(self, start: int) -> Tuple[bytes, Tuple[Tuple[int, int], ...]]:
+        """The bytes in ``[start, break)`` and the allocations made there."""
+        return (bytes(self._data[start:self._brk]),
+                tuple(a for a in self.allocations if a[0] >= start))
+
+    def map_segment(self, start: int, data: bytes,
+                    allocations: Tuple[Tuple[int, int], ...]) -> bool:
+        """Place a :meth:`segment` of another image at ``start``.
+
+        Only an image whose break is ``start`` can take it, so the
+        copied pointers stay valid; the image then looks as if it had
+        made the segment's allocations and writes itself. Returns False,
+        leaving the image untouched, when the break differs or the
+        segment does not fit.
+        """
+        end = start + len(data)
+        if start != self._brk or end > self.size:
+            return False
+        self._ensure(end)
+        self._data[start:end] = data
+        self._brk = end
+        self.allocations.extend(allocations)
+        return True
+
     def _ensure(self, end: int) -> None:
         if end > len(self._data):
             new_len = len(self._data)

@@ -23,6 +23,7 @@ lab-network tool, not an internet-facing one.
 from __future__ import annotations
 
 import os
+import socket
 import threading
 from multiprocessing.connection import Client as _Client
 from multiprocessing.connection import Listener
@@ -74,13 +75,20 @@ class ServiceServer:
 
     def stop(self) -> None:
         self._stop.set()
+        if self._accept_thread is not None:
+            # closing the listener does not wake a thread blocked in
+            # accept(): one throwaway connection does, and the loop then
+            # sees the stop flag
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:  # pragma: no cover - listener already gone
+                pass
+            self._accept_thread.join(2.0)
+            self._accept_thread = None
         try:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(2.0)
-            self._accept_thread = None
 
     def __enter__(self) -> "ServiceServer":
         return self.start()

@@ -403,11 +403,21 @@ class WorkerPool:
         child_conn.close()  # child's end lives in the child now
         return WorkerHandle(worker_id, process, parent_conn)
 
+    @property
+    def booting(self) -> bool:
+        """True while some live worker has not yet reported ready."""
+        return any(not h.ready and not h.dead for h in self._slots)
+
     def wait_ready(self, timeout: float = 60.0) -> None:
         """Block until every current worker has booted (benchmarks use
-        this to measure steady-state throughput, not spawn cost)."""
+        this to measure steady-state throughput, not spawn cost).
+
+        This polls the worker pipes itself, so it is for a pool nobody
+        else polls; a running :class:`~repro.svc.service.Service` owns
+        its pool's pipes (use ``Service.start(wait_ready=True)`` there).
+        """
         deadline = time.monotonic() + timeout
-        while any(not h.ready and not h.dead for h in self._slots):
+        while self.booting:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError("worker pool failed to become ready")

@@ -49,6 +49,9 @@ from .telemetry import LEDGER_ENV, JobSpan, MetricsRegistry, RunLedger
 
 __all__ = ["Service", "sweep_specs"]
 
+#: how long ``start(wait_ready=True)`` waits for every worker to boot
+_READY_TIMEOUT_S = 60.0
+
 #: legacy one-shot counter key -> registry counter family
 _COUNTER_FAMILIES = {
     "submitted": "jobs_submitted_total",
@@ -137,6 +140,10 @@ class Service:
         self._inflight: Dict[str, Job] = {}   # digest -> pending/running job
         self._lock = threading.RLock()
         self._stop = threading.Event()
+        # set by the control loop while no worker is booting; the loop
+        # is the only reader of the worker pipes, so waiters watch this
+        # instead of polling the pool themselves
+        self._ready = threading.Event()
         self._thread: Optional[threading.Thread] = None
         self._counters = {
             "submitted": 0, "admitted": 0, "rejected": 0,
@@ -217,8 +224,8 @@ class Service:
             self._thread = threading.Thread(
                 target=self._loop, name="repro-svc-loop", daemon=True)
             self._thread.start()
-        if wait_ready:
-            self.pool.wait_ready()
+        if wait_ready and not self._ready.wait(_READY_TIMEOUT_S):
+            raise TimeoutError("worker pool failed to become ready")
         return self
 
     def close(self) -> None:
@@ -460,6 +467,10 @@ class Service:
                     self._on_result(job_id, payload)
                 elif kind == "died":
                     self._on_death(handle, job_id)
+            if self.pool.booting:
+                self._ready.clear()
+            else:
+                self._ready.set()
             self._dispatch_pending()
 
     def _dispatch_pending(self) -> None:

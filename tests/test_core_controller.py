@@ -242,3 +242,29 @@ def test_eviction_frees_victim_sectors(mini_walker):
     ram = system.controller.dataram
     assert ram.used_sectors <= config.entries
     assert system.controller.metatags.stats.get("evictions") > 50
+
+
+@pytest.mark.parametrize("row", ["dasx", "gamma"])
+def test_controller_ticks_only_with_queued_work(monkeypatch, row):
+    """Walkers waiting on DRAM cost no ticks: every tick starts with a
+    message in MetaIO, an internal event or a routine to execute."""
+    from repro.core.controller import Controller
+    from repro.harness import suite
+    from repro.harness.profiles import get_profile
+
+    real_tick = Controller._tick
+    ticks, idle = [0], []
+
+    def watched(self):
+        ticks[0] += 1
+        if not (self.metaio_in.valid or self._internal or self._execq):
+            idle.append(self.sim.now)
+        return real_tick(self)
+
+    monkeypatch.setattr(Controller, "_tick", watched)
+    prof = get_profile("ci")
+    vs = (suite._run_dasx(prof) if row == "dasx"
+          else suite._run_spgemm("gamma", prof))
+    assert vs.all_checked
+    assert ticks[0] > 0
+    assert idle == []

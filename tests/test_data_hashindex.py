@@ -45,16 +45,16 @@ def test_probe_with_walk_lengths():
     pairs = [(k, k) for k in range(1, 5)]
     _image, index = build(pairs, buckets=1)
     # Head of chain is the most recent insert -> walk length 1.
-    _rid, walk = index.probe_with_walk(4)
+    _rid, walk, _root = index.probe_with_walk(4)
     assert len(walk) == 1
-    _rid, walk = index.probe_with_walk(1)
+    _rid, walk, _root = index.probe_with_walk(1)
     assert len(walk) == 4
 
 
 def test_probe_missing_walks_whole_chain():
     pairs = [(k, k) for k in range(1, 4)]
     _image, index = build(pairs, buckets=1)
-    rid, walk = index.probe_with_walk(99)
+    rid, walk, _root = index.probe_with_walk(99)
     assert rid is None
     assert len(walk) == 3
 
@@ -62,14 +62,14 @@ def test_probe_missing_walks_whole_chain():
 def test_nodes_are_block_aligned():
     image, index = build([(7, 70), (8, 80)])
     for key in (7, 8):
-        _rid, walk = index.probe_with_walk(key)
+        _rid, walk, _root = index.probe_with_walk(key)
         for node in walk:
             assert node % HashIndex.NODE_BYTES == 0
 
 
 def test_node_layout_in_image():
     image, index = build([(0xABCD, 0x1234)])
-    _rid, walk = index.probe_with_walk(0xABCD)
+    _rid, walk, _root = index.probe_with_walk(0xABCD)
     node = walk[-1]
     assert image.read_u64(node + HashIndex.KEY_OFF) == 0xABCD
     assert image.read_u64(node + HashIndex.RID_OFF) == 0x1234
@@ -112,5 +112,18 @@ def test_walk_never_longer_than_chain_property(keys):
     pairs = [(k, k & 0xFFFF) for k in keys]
     _image, index = build(pairs, buckets=4)
     for k in keys:
-        _rid, walk = index.probe_with_walk(k)
+        _rid, walk, _root = index.probe_with_walk(k)
         assert 1 <= len(walk) <= index.chain_length(k)
+
+
+def test_insert_after_a_memoised_probe_sees_the_new_head():
+    _image, index = build([(5, 50)], buckets=1)
+    assert index.probe(5) == 50
+    assert index.probe(6) is None
+    node = index.insert(6, 60)
+    rid, walk, root = index.probe_with_walk(6)
+    assert rid == 60 and walk == (node,)
+    assert root == index.bucket_root_entry(index.bucket_of(6))
+    # the earlier key now sits one node further down the chain
+    rid, walk, _root = index.probe_with_walk(5)
+    assert rid == 50 and len(walk) == 2 and walk[0] == node

@@ -143,3 +143,28 @@ def test_alloc_disjointness_property(sizes):
     spans = sorted((image.alloc(s), s) for s in sizes)
     for (a1, s1), (a2, _s2) in zip(spans, spans[1:]):
         assert a1 + s1 <= a2
+
+
+def test_map_segment_copies_allocations_at_the_same_break():
+    source = MemoryImage()
+    start = source.used
+    a = source.alloc(100, align=64)
+    source.write_u64(a, 0xFEED)
+    data, allocations = source.segment(start)
+    target = MemoryImage()
+    assert target.map_segment(start, data, allocations)
+    assert target.used == source.used
+    assert target.allocations == source.allocations
+    assert target.read_u64(a) == 0xFEED
+
+
+def test_map_segment_refuses_another_break():
+    source = MemoryImage()
+    start = source.used
+    source.alloc(64)
+    data, allocations = source.segment(start)
+    target = MemoryImage()
+    target.alloc(24)
+    before = (target.used, list(target.allocations))
+    assert not target.map_segment(start, data, allocations)
+    assert (target.used, list(target.allocations)) == before

@@ -1,6 +1,9 @@
 """Remote client/server: the multiprocessing.connection wire, error
 mapping, and the watch stream."""
 
+import threading
+import time
+
 import pytest
 
 from repro.svc.client import ServiceClient, ServiceServer, parse_address
@@ -107,3 +110,15 @@ def test_remote_metrics_snapshot(remote):
     assert metrics["completed"] == 1
     assert metrics["store"]["misses"] == 1
     assert len(metrics["workers"]) == 1
+
+
+def test_stop_wakes_the_accept_loop_promptly():
+    service = Service(workers=1, health=False)  # never started: no pool
+    server = ServiceServer(service, port=0).start()
+    # one round trip parks the accept thread back inside accept()
+    assert ServiceClient(server.address).metrics()["submitted"] == 0
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.5
+    assert not any(t.name == "repro-svc-accept" and t.is_alive()
+                   for t in threading.enumerate())

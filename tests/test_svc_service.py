@@ -223,3 +223,29 @@ def test_sweep_runs_distinct_points_through_the_service():
         for job in jobs:
             job.result(timeout=30)
         assert svc.store.stats.misses == 1  # all three deduped
+
+
+def test_start_wait_ready_leaves_the_pipes_to_the_control_loop():
+    """Waiting for readiness must not read the worker pipes the control
+    loop polls: two readers corrupt each other's messages, which shows
+    up as spurious worker restarts or a failed wait."""
+    for _ in range(20):
+        svc = Service(workers=2, health=False).start(wait_ready=True)
+        try:
+            assert all(w["state"] == "idle" for w in svc.pool.health())
+            assert svc.metrics()["worker_restarts"] == 0
+        finally:
+            svc.close()
+
+
+def test_wait_ready_times_out_when_the_loop_never_reports_ready(monkeypatch):
+    from repro.svc import service
+
+    monkeypatch.setattr(service, "_READY_TIMEOUT_S", 0.05)
+    monkeypatch.setattr(Service, "_loop", lambda self: None)
+    svc = Service(workers=1, health=False)
+    try:
+        with pytest.raises(TimeoutError):
+            svc.start(wait_ready=True)
+    finally:
+        svc.close()
